@@ -33,7 +33,6 @@ Exit status 0 means the drill passed.  Per-node daemon logs land in
 import argparse
 import os
 import shutil
-import socket
 import subprocess
 import sys
 import tempfile
@@ -43,16 +42,11 @@ REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO_ROOT, "src")
 sys.path.insert(0, SRC)
 
+from live_smoke import free_port, wait_members, wait_ready  # noqa: E402
 from repro.net.client import NodeClient  # noqa: E402
 
 KEYS = ["chaos/alpha", "chaos/beta", "chaos/gamma"]
 LIFETIME = 600.0
-
-
-def free_port() -> int:
-    with socket.socket() as sock:
-        sock.bind(("127.0.0.1", 0))
-        return sock.getsockname()[1]
 
 
 class Cluster:
@@ -107,38 +101,6 @@ class Cluster:
 def rpc(address: str, call, timeout: float = 10.0):
     with NodeClient(address, timeout=timeout) as client:
         return call(client)
-
-
-def wait_ready(address: str, deadline: float) -> dict:
-    last_error = None
-    while time.monotonic() < deadline:
-        try:
-            return rpc(address, lambda c: c.info(), timeout=2.0)
-        except OSError as exc:
-            last_error = exc
-            time.sleep(0.1)
-    raise TimeoutError(f"node {address} never came up ({last_error})")
-
-
-def wait_members(addresses, want, deadline: float) -> None:
-    want = set(want)
-    views = []
-    while time.monotonic() < deadline:
-        views = []
-        try:
-            for address in addresses:
-                info = rpc(address, lambda c: c.info(), timeout=2.0)
-                views.append(set(info["members"]))
-        except OSError:
-            time.sleep(0.1)
-            continue
-        if all(view == want for view in views):
-            return
-        time.sleep(0.1)
-    raise TimeoutError(
-        f"membership never converged to {sorted(want)}: "
-        f"last views {[sorted(v) for v in views]}"
-    )
 
 
 def wait_quiesced(addresses, deadline: float) -> None:

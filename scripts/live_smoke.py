@@ -60,8 +60,9 @@ def wait_ready(address: str, deadline: float) -> dict:
     raise TimeoutError(f"node {address} never came up ({last_error})")
 
 
-def wait_members(addresses, deadline: float) -> None:
-    want = set(addresses)
+def wait_members(addresses, want, deadline: float) -> None:
+    """Every node in ``addresses`` reports exactly the members ``want``."""
+    want = set(want)
     views = []
     while time.monotonic() < deadline:
         views = []
@@ -102,7 +103,7 @@ def main() -> int:
             wait_ready(address, deadline)
 
         print("[2/5] waiting for a converged 3-member view everywhere")
-        wait_members(addresses, deadline)
+        wait_members(addresses, addresses, deadline)
 
         print("[3/5] put at node A, get everywhere")
         key = "live-smoke/key"

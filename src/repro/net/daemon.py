@@ -56,15 +56,15 @@ Cluster mechanics
 
 * **Clients.**  A connection whose first frame is not ``hello`` is a
   client session: ``put`` routes a replica birth/refresh to the key's
-  authority, ``get`` posts a local query and awaits the CUP response
-  machinery, ``audit`` runs the attached invariant checker's quiescence
-  sweep, ``info`` and ``stop`` do what they say.
+  authority, ``get`` posts a local query and, on a miss, waits for the
+  delivery that answers it, ``audit`` runs the attached invariant
+  checker's quiescence sweep, ``info`` and ``stop`` do what they say.
 
-The invariant checker attaches to the live stack through
-:class:`LocalNetworkView` — the one-node "network" this process can
-see — with ``churn``/``crash`` hazards declared (peers come and go),
-so every structural, monotonicity and cost-balance check runs against
-real sockets.
+The invariant checker reads the daemon itself as a one-node "network"
+(``sim``, ``nodes``, ``overlay``, ``metrics``, ``transport``) with
+``churn``/``crash`` hazards declared (peers come and go), so every
+structural, monotonicity and cost-balance check runs against real
+sockets.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ import contextlib
 import dataclasses
 import random
 import sys
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.core.keepalive import KeepAliveMonitor
 from repro.core.messages import ReplicaEvent, ReplicaMessage
@@ -99,6 +99,10 @@ from repro.persistence.nodestore import NodeStore, sanitize_restored
 from repro.sim.process import PeriodicProcess
 
 _READ_CHUNK = 1 << 16
+#: Garbage-collect expired cache state this often (seconds).
+_GC_INTERVAL = 60.0
+#: How long a joining node keeps trying to reach a seed and hear back.
+_JOIN_TIMEOUT = 10.0
 
 
 @dataclasses.dataclass(frozen=True)
@@ -121,16 +125,12 @@ class LiveNodeConfig:
     pfu_timeout: float = 3.0
     keepalive_period: float = 2.0
     keepalive_misses: int = 3
-    #: Garbage-collect expired cache state this often (0 disables).
-    gc_interval: float = 60.0
-    overlay_bits: int = 32
     codec: str = "json"
     invariants: bool = True
     #: Run the unreliable-transport recovery layer.  TCP is reliable
     #: per-connection, but frames sent while a link is still dialing are
     #: dropped — gap detection + NACK recovers them.
     recovery: bool = True
-    join_timeout: float = 10.0
     quiet: bool = False
     #: Directory for the durable state snapshot (None = stateless: a
     #: restart rejoins cold).
@@ -172,41 +172,6 @@ class LiveNodeConfig:
         if self.outbox_limit < 1:
             raise ValueError("outbox_limit must be >= 1")
         resolve_codec(self.codec)  # fail fast on unavailable codecs
-
-
-class LocalNetworkView:
-    """The 'network' surface the invariant checker reads, one node wide.
-
-    :class:`~repro.invariants.checker.InvariantChecker` consumes
-    ``network.sim.now``, ``network.nodes``, ``network.overlay``,
-    ``network.metrics`` and ``network.transport``; this adapter lends a
-    daemon those attributes so the checker runs unmodified against live
-    sockets.
-    """
-
-    def __init__(self, daemon: "LiveNode"):
-        self._daemon = daemon
-
-    @property
-    def sim(self):
-        return self._daemon.clock
-
-    @property
-    def nodes(self):
-        node = self._daemon.node
-        return {} if node is None else {self._daemon.node_id: node}
-
-    @property
-    def overlay(self):
-        return self._daemon.overlay
-
-    @property
-    def metrics(self):
-        return self._daemon.metrics
-
-    @property
-    def transport(self):
-        return self._daemon.transport
 
 
 class _PeerLink:
@@ -288,7 +253,7 @@ class LiveNode:
         self.node_id: Optional[str] = None
         self.clock: Optional[LiveClock] = None
         self.metrics = MetricsCollector()
-        self.overlay = ChordOverlay(bits=config.overlay_bits)
+        self.overlay = ChordOverlay()
         self.transport: Optional[LiveTransport] = None
         self.node: Optional[CupNode] = None
         self.checker = None
@@ -303,12 +268,34 @@ class LiveNode:
         self._rejoined = False
         self._server: Optional[asyncio.base_events.Server] = None
         self._gc_process: Optional[PeriodicProcess] = None
+        #: Client gets waiting on a key, woken by the delivery that
+        #: answers them (see :meth:`receive`).
+        self._get_waiters: Dict[str, List[asyncio.Future]] = {}
         self._stopped = asyncio.Event()
         self._stopping = False
 
     # ------------------------------------------------------------------
-    # Router interface (consumed by LiveTransport)
+    # What LiveTransport and the invariant checker consume
     # ------------------------------------------------------------------
+
+    @property
+    def sim(self) -> Optional[LiveClock]:
+        return self.clock
+
+    @property
+    def nodes(self) -> Dict[str, CupNode]:
+        return {} if self.node is None else {self.node_id: self.node}
+
+    def receive(self, message, sender) -> None:
+        """Deliver, then wake gets it answers (keepalives carry no key)."""
+        self.node.receive(message, sender)
+        waiters = self._get_waiters.get(getattr(message, "key", None))
+        if waiters:
+            entries = self._fresh_entries(message.key)
+            if entries:
+                for waiter in waiters:
+                    if not waiter.done():
+                        waiter.set_result(entries)
 
     def is_peer(self, node_id) -> bool:
         return node_id in self.members
@@ -362,12 +349,12 @@ class LiveNode:
             pfu_timeout=config.pfu_timeout,
             recovery_config=RecoveryConfig() if config.recovery else None,
         )
-        self.transport.register(self.node_id, self.node)
+        self.transport.register(self.node_id, self)
         if config.invariants:
             from repro.invariants.checker import InvariantChecker
 
             self.checker = InvariantChecker(
-                LocalNetworkView(self),
+                self,
                 hazards=("churn", "crash"),
                 raise_immediately=False,
             )
@@ -385,10 +372,9 @@ class LiveNode:
             self._store = NodeStore(config.state_dir)
             self._restore_state()
         self.keepalive.start()
-        if config.gc_interval > 0:
-            self._gc_process = PeriodicProcess(
-                self.clock, config.gc_interval, self.node.gc
-            )
+        self._gc_process = PeriodicProcess(
+            self.clock, _GC_INTERVAL, self.node.gc
+        )
         if self._store is not None:
             self._snapshot_process = PeriodicProcess(
                 self.clock, config.snapshot_interval, self._snapshot_state
@@ -414,7 +400,7 @@ class LiveNode:
         if seed == self.node_id:
             return
         loop = self.clock.loop
-        deadline = loop.time() + self.config.join_timeout
+        deadline = loop.time() + _JOIN_TIMEOUT
         # Keep probing until the backoff machinery lands a connection
         # or the join deadline expires — a seed that is itself still
         # booting (or briefly down) should not fail the join outright.
@@ -426,9 +412,7 @@ class LiveNode:
                 break
             if loop.time() >= deadline:
                 raise ConnectionError(
-                    f"could not reach seed member {seed} within "
-                    f"{self.config.join_timeout}s"
-                )
+                    f"could not reach seed {seed} within {_JOIN_TIMEOUT}s")
             await asyncio.sleep(0.05)
         try:
             await asyncio.wait_for(
@@ -437,8 +421,7 @@ class LiveNode:
             )
         except asyncio.TimeoutError:
             raise ConnectionError(
-                f"seed member {seed} sent no welcome within "
-                f"{self.config.join_timeout}s"
+                f"seed member {seed} sent no welcome within {_JOIN_TIMEOUT}s"
             ) from None
         self._log(f"joined via {seed}; members={sorted(self.members)}")
 
@@ -522,6 +505,11 @@ class LiveNode:
         if self._snapshot_process is not None:
             self._snapshot_process.stop()
         self._snapshot_state()  # the state a graceful stop resumes from
+        # Gets still waiting answer now, with the error reply.
+        for waiters in self._get_waiters.values():
+            for waiter in waiters:
+                if not waiter.done():
+                    waiter.set_result([])
         for health in self._health.values():
             health.cancel_timers()
         for link in list(self._conns.values()):
@@ -866,7 +854,9 @@ class LiveNode:
         link: Optional[_PeerLink] = None
         stop_after = False
         try:
-            while not stop_after:
+            # A stopping node closes client sessions once their requests
+            # are answered.
+            while not (stop_after or link is None and self._stopping):
                 data = await reader.read(_READ_CHUNK)
                 if not data:
                     break
@@ -957,40 +947,46 @@ class LiveNode:
         self.transport.send_direct(authority, message)
         return {"t": "ok", "authority": authority}
 
+    def _fresh_entries(self, key: str) -> list:
+        """What a get for ``key`` answers with now; empty means wait (at
+        the authority too: a birth may still be in flight)."""
+        node = self.node
+        now = self.clock.now
+        state = node.cache.get_or_create(key)
+        if node._is_authority(key, state):
+            return node.authority_index.fresh_entries(key, now)
+        return state.fresh_entries(now)
+
     async def _client_get(self, frame: dict) -> dict:
         key = frame["key"]
         timeout = float(frame.get("timeout", 5.0))
-        node = self.node
         loop = self.clock.loop
         deadline = loop.time() + timeout
-        hit = node.post_local_query(key)
-        last_query = loop.time()
-        state = node.cache.get_or_create(key)
-        while True:
-            now = self.clock.now
-            if node._is_authority(key, state):
-                entries = list(
-                    node.authority_index.fresh_entries(key, now)
-                )
-                if entries:
-                    break
-                # The authoritative index is empty: keep polling — a
-                # birth may still be in flight — until the deadline
-                # reports an authoritative miss.
-            elif state.has_fresh(now):
-                entries = list(state.fresh_entries(now))
-                break
+        hit = self.node.post_local_query(key)
+        entries = self._fresh_entries(key)
+        while not entries:
             remaining = deadline - loop.time()
-            if remaining <= 0:
+            if remaining <= 0 or self._stopping:
+                error = ("node is stopping" if self._stopping
+                         else f"no fresh entries within {timeout}s")
                 return {"t": "result", "ok": False, "hit": False,
-                        "key": key, "entries": [],
-                        "error": f"no fresh entries within {timeout}s"}
-            if loop.time() - last_query >= 1.0:
-                # Re-post past the PFU timeout so a query frame lost to
-                # a mid-dial window gets re-pushed upstream.
-                node.post_local_query(key)
-                last_query = loop.time()
-            await asyncio.sleep(min(0.02, max(remaining, 0.001)))
+                        "key": key, "entries": [], "error": error}
+            waiter = loop.create_future()
+            waiters = self._get_waiters.setdefault(key, [])
+            waiters.append(waiter)
+            try:
+                entries = await asyncio.wait_for(waiter, min(1.0, remaining))
+            except asyncio.TimeoutError:
+                if remaining > 1.0:
+                    # Re-post every second, past the PFU timeout, so a
+                    # query frame lost to a mid-dial window gets
+                    # re-pushed upstream.
+                    self.node.post_local_query(key)
+                    entries = self._fresh_entries(key)
+            finally:
+                waiters.remove(waiter)
+                if not waiters:
+                    del self._get_waiters[key]
         return {
             "t": "result", "ok": True, "hit": hit, "key": key,
             "entries": [entry_to_wire(e) for e in entries],

@@ -312,15 +312,86 @@ async def _socket_request(node, frame):
     try:
         writer.write(encode_frame(frame))
         await writer.drain()
-        decoder = FrameDecoder()
-        while True:
-            data = await asyncio.wait_for(reader.read(1 << 16), timeout=15.0)
-            assert data, "daemon closed the connection without replying"
-            frames = decoder.feed(data)
-            if frames:
-                return frames[0]
+        return await _read_reply(reader)
     finally:
         writer.close()
+
+
+async def _read_reply(reader):
+    decoder = FrameDecoder()
+    while True:
+        data = await asyncio.wait_for(reader.read(1 << 16), timeout=15.0)
+        assert data, "daemon closed the connection without replying"
+        frames = decoder.feed(data)
+        if frames:
+            return frames[0]
+
+
+def _key_owned_by(node):
+    return next(key for key in (f"wake/{i}" for i in range(10_000))
+                if node.overlay.authority(key) == node.node_id)
+
+
+@pytest.mark.parametrize("put_via", ["authority", "peer", None])
+def test_get_at_authority_waits_for_the_birth(put_via):
+    # A get posted at the authority before any birth waits on its empty
+    # index.  The birth wakes it whether it is put through the authority
+    # itself (local delivery) or through another node (off the wire);
+    # with no put, the get re-posts once a second until it times out and
+    # leaves no waiter behind.
+    async def scenario(nodes):
+        authority, peer = nodes
+        key = _key_owned_by(authority)
+        posted = authority.metrics.queries_posted
+        get = asyncio.ensure_future(authority._client_get(
+            {"key": key, "timeout": 10.0 if put_via else 1.5}
+        ))
+        await _poll(lambda: key in authority._get_waiters)
+        if put_via is not None:
+            via = authority if put_via == "authority" else peer
+            put = await via._client_put(
+                {"t": "put", "key": key, "replica_id": "r1",
+                 "address": "addr", "lifetime": 120.0}
+            )
+            assert put["authority"] == authority.node_id
+        result = await get
+        assert key not in authority._get_waiters
+        if put_via is None:
+            assert result["ok"] is False, result
+            assert "no fresh entries" in result["error"]
+            assert authority.metrics.queries_posted == posted + 2
+        else:
+            assert result["ok"], result
+            assert result["entries"][0]["replica_id"] == "r1"
+            # Woken by the delivery, not by a re-post a second later.
+            assert authority.metrics.queries_posted == posted + 1
+
+    _run_cluster(2, scenario)
+
+
+def test_stop_answers_gets_still_in_flight():
+    async def main():
+        node = LiveNode(LiveNodeConfig(port=0, quiet=True))
+        await node.start()
+        host, _, port = node.node_id.rpartition(":")
+        reader, writer = await asyncio.open_connection(host, int(port))
+        writer.write(encode_frame(
+            {"t": "get", "key": "never/put", "timeout": 30.0}
+        ))
+        await writer.drain()
+        await _poll(lambda: "never/put" in node._get_waiters)
+        node.request_stop()
+        await asyncio.wait_for(node.serve_forever(), timeout=5.0)
+        # The session was answered and closed before stop returned.
+        assert asyncio.all_tasks() == {asyncio.current_task()}
+        assert not node._get_waiters
+        reply = await _read_reply(reader)
+        writer.close()
+        await writer.wait_closed()
+        assert reply["ok"] is False, reply
+        assert reply["error"] == "node is stopping"
+
+    asyncio.run(main())
 
 
 def test_config_rejects_unknown_mode_and_codec():
