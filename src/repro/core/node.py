@@ -79,8 +79,6 @@ class CupNode:
         Seconds after which an unanswered Pending-First-Update flag stops
         coalescing and the next query re-pushes upstream.  Recovers from
         responses lost to departed nodes.
-    track_justification:
-        Record per-update justification windows (§3.1 accounting).
     refresh_aggregation_window:
         §3.6 overhead-reduction technique: when set, the authority
         buffers replica refreshes for a key and, after this many seconds,
@@ -96,10 +94,10 @@ class CupNode:
     __slots__ = (
         "node_id", "_sim", "_transport", "_overlay", "policy", "metrics",
         "persistent_interest", "coalesce", "replica_independent_cutoff",
-        "pfu_timeout", "track_justification", "cache", "authority_index",
+        "pfu_timeout", "cache", "authority_index",
         "channels", "refresh_aggregation_window", "refresh_sample_fraction",
         "_aggregation_buffers", "_sample_rng", "keepalive_monitor",
-        "invariant_probe", "batched_fanout", "_forward_always", "recovery",
+        "invariant_probe", "_forward_always", "recovery",
     )
 
     def __init__(
@@ -116,11 +114,9 @@ class CupNode:
         capacity: Optional[CapacityConfig] = None,
         rng: Optional[np.random.Generator] = None,
         pfu_timeout: float = 30.0,
-        track_justification: bool = True,
         refresh_aggregation_window: Optional[float] = None,
         refresh_sample_fraction: float = 1.0,
         channel_priorities: Optional[dict] = None,
-        batched_fanout: bool = True,
         recovery_config: Optional[RecoveryConfig] = None,
     ):
         if refresh_aggregation_window is not None and refresh_aggregation_window <= 0:
@@ -147,7 +143,6 @@ class CupNode:
         self.coalesce = coalesce
         self.replica_independent_cutoff = replica_independent_cutoff
         self.pfu_timeout = pfu_timeout
-        self.track_justification = track_justification
         self.cache = NodeCache()
         self.authority_index = AuthorityIndex()
         self.channels = OutgoingUpdateChannels(
@@ -158,23 +153,17 @@ class CupNode:
         self.refresh_sample_fraction = refresh_sample_fraction
         self._aggregation_buffers: dict = {}
         self._sample_rng = rng
-        # Batched fan-out (one shared payload + k envelopes through one
-        # transport call) vs the per-child reference path.  Both produce
-        # byte-identical metrics and cache state — the flag exists so
-        # the equivalence property tests can referee one against the
-        # other, and as an escape hatch while diagnosing.
-        self.batched_fanout = batched_fanout
         # Unreliable-transport survival layer: None on the default
         # reliable path (zero hot-path cost beyond one None test).  With
         # recovery on, updates must be stamped with per-neighbor
         # sequence numbers at transmit time, which the grouped fan-out
-        # cannot do — force the per-child reference path.
+        # cannot do — such a node offers every child through its
+        # channels (see _push_updates).
         if recovery_config is not None:
             self.recovery = RecoveryManager(
                 sim, transport, node_id, metrics, recovery_config,
                 self._recover_by_pull,
             )
-            self.batched_fanout = False
         else:
             self.recovery = None
         # Attached by CupNetwork.enable_keepalive(); None otherwise.
@@ -258,7 +247,7 @@ class CupNode:
         # "In each of the cases, the node updates its popularity measure
         # for K" (§2.5) — queries from neighbors and local clients alike.
         state.popularity += 1
-        if self.track_justification and state.justification_deadlines:
+        if state.justification_deadlines:
             justified, unjustified = state.settle_justification(now)
             self.metrics.justified_updates += justified
             self.metrics.unjustified_updates += unjustified
@@ -444,12 +433,11 @@ class CupNode:
                     metrics.updates_stale_discarded += 1
                     return
 
-        if self.track_justification:
-            deadlines = state.justification_deadlines
-            if deadlines and deadlines[0] < now:
-                metrics.unjustified_updates += state.expire_justification(now)
-            if len(deadlines) < state.MAX_JUSTIFICATION_WINDOWS:
-                deadlines.append(update.expiry)
+        deadlines = state.justification_deadlines
+        if deadlines and deadlines[0] < now:
+            metrics.unjustified_updates += state.expire_justification(now)
+        if len(deadlines) < state.MAX_JUSTIFICATION_WINDOWS:
+            deadlines.append(update.expiry)
 
         # Cut-off trigger decision (one evaluation per maintenance
         # update): the naive variant triggers on every update, the
@@ -478,14 +466,14 @@ class CupNode:
             # Receiving on behalf of interested neighbors: apply and push
             # (§2.6 case 2, "popularity high or some interest bits set").
             # The no-gate batched case — an ungated policy at full
-            # capacity, i.e. virtually every hop of a healthy run — is
-            # inlined; anything that can gate, suppress or queue takes
-            # the general path.
+            # capacity without recovery stamping, i.e. virtually every
+            # hop of a healthy reliable run — is inlined; anything that
+            # can gate, suppress, queue or stamp takes the general path.
             channels = self.channels
             if (
                 self._forward_always
                 and channels.unlimited
-                and self.batched_fanout
+                and recovery is None
             ):
                 targets = state._interest_sorted
                 if targets is None or len(targets) != len(interest):
@@ -549,8 +537,7 @@ class CupNode:
         for entry in update.entries:
             if state.apply_entry(entry) and probe is not None:
                 probe.entry_applied(self.node_id, state.key, entry)
-        if self.track_justification:
-            self.metrics.justified_updates += 1
+        self.metrics.justified_updates += 1
         if update.route:
             forwarded = update.fork()
             forwarded.route = update.route[:-1]
@@ -573,10 +560,9 @@ class CupNode:
         for entry in update.entries:
             if state.apply_entry(entry) and probe is not None:
                 probe.entry_applied(self.node_id, state.key, entry)
-        if self.track_justification:
-            # First-time updates are always justified (§3.1): they carry
-            # a response toward the node that issued the query.
-            self.metrics.justified_updates += 1
+        # First-time updates are always justified (§3.1): they carry a
+        # response toward the node that issued the query.
+        self.metrics.justified_updates += 1
         state.pending_first_update = False
         if self.recovery is not None and update.entries:
             # The degraded pull is answered: the key re-earns full
@@ -647,10 +633,10 @@ class CupNode:
         At full capacity the fan-out is batched: one shared immutable
         payload travels to all k children as k lightweight envelopes
         through a single transport call.  Under a fraction/rate
-        constraint — or with ``batched_fanout`` off — the per-child
-        reference path forks and offers one update per neighbor, in the
-        same deterministic order (so capacity coin flips consume the
-        random stream identically).
+        constraint — or on a node with a recovery manager, which stamps
+        each envelope — the per-child path forks and offers one update
+        per neighbor, in the same deterministic order (so capacity coin
+        flips consume the random stream identically).
         """
         interest = state.interest
         if not interest:
@@ -683,15 +669,17 @@ class CupNode:
         """Offer one update to many neighbors; returns those it reached.
 
         The batched fast path applies when nothing can suppress or
-        reorder the sends (full capacity, no rate pump): the transport
-        fans the shared payload out in one call.  Otherwise each
-        neighbor gets its own channel offer, preserving per-child coin
-        flip order and queue accounting.
+        reorder the sends (full capacity, no rate pump) and nothing
+        stamps them (no recovery manager): the transport fans the shared
+        payload out in one call.  Otherwise each neighbor gets its own
+        channel offer, preserving per-child coin flip order and queue
+        accounting; :meth:`_transmit_update` stamps ``hop_seq`` on the
+        way out.
         """
         if not targets:
             return ()
         channels = self.channels
-        if self.batched_fanout and channels.unlimited:
+        if channels.unlimited and self.recovery is None:
             self._transport.send_fanout(self.node_id, targets, update)
             channels.forwarded += len(targets)
             return targets

@@ -41,6 +41,7 @@ from typing import Dict, Iterable, List, Optional, Union
 from repro.core.channels import PRIORITY_PROFILES, CapacityConfig
 from repro.core.node import CupNode
 from repro.core.policies import CutoffPolicy, make_policy
+from repro.core.recovery import RecoveryConfig
 from repro.metrics.collector import MetricsCollector, MetricsSummary
 from repro.overlay.base import NodeId, Overlay
 from repro.overlay.can import CanOverlay
@@ -63,7 +64,6 @@ class CupConfig:
     # --- topology -----------------------------------------------------
     num_nodes: int = 64
     overlay_type: str = "can"          # "can" | "chord" | "pastry"
-    can_dims: int = 2
     link_delay: float = 0.05           # one-way seconds per overlay hop
     link_delay_jitter: float = 0.0     # +/- uniform per-link jitter (CAN)
 
@@ -74,7 +74,6 @@ class CupConfig:
     capacity_fraction: float = 1.0     # §3.7 fractional capacity
     capacity_rate: Optional[float] = None  # §2.8 rate pump (updates/s)
     pfu_timeout: float = 30.0
-    track_justification: bool = True
     # §3.6 authority-side overhead-reduction techniques:
     refresh_aggregation_window: Optional[float] = None
     refresh_sample_fraction: float = 1.0
@@ -82,32 +81,20 @@ class CupConfig:
     # "latency" (first-time > delete > refresh > append) or
     # "flash-crowd" (appends promoted to spread load across replicas).
     priority_profile: str = "latency"
-    # Batched update fan-out: one shared payload + k lightweight
-    # envelopes per push instead of k full per-child forks.  Results are
-    # byte-identical either way (property-tested), so — like ``trace`` —
-    # this knob is not part of run-cache keys; False selects the
-    # per-child reference path.
-    batched_fanout: bool = True
     # Unreliable-transport survival layer (recovery).  The default True
     # assumes a reliable transport (no fault injection) and keeps the
     # run byte-identical to historical golden pins: nodes carry no
     # recovery state at all.  Setting False equips every CUP-mode node
     # with sequence stamping, gap detection + NACK/backoff recovery, and
-    # pull-on-miss degradation (see repro.core.recovery) — the knobs
-    # below tune that state machine and are ignored on the default path.
+    # pull-on-miss degradation, tuned by the RecoveryConfig defaults
+    # (see repro.core.recovery).
     reliable_transport: bool = True
-    recovery_max_retries: int = 4
-    recovery_base_timeout: float = 0.5
-    recovery_backoff: float = 2.0
-    recovery_max_timeout: float = 8.0
-    recovery_buffer: int = 64
 
     # --- content ------------------------------------------------------
     keys_per_node: float = 1.0
     total_keys: Optional[int] = None   # overrides keys_per_node when set
     replicas_per_key: int = 1
     entry_lifetime: float = 300.0      # the paper's replica lifetime
-    stagger_replicas: bool = True
 
     # --- workload -----------------------------------------------------
     query_rate: float = 1.0            # aggregate λ, queries/second
@@ -121,7 +108,6 @@ class CupConfig:
     seed: int = 42
     gc_interval: Optional[float] = 300.0
     failure_sweep_interval: Optional[float] = None
-    handover_entries: bool = True      # §2.9 index handover on churn
     trace: bool = False
 
     # --- checkpointing --------------------------------------------------
@@ -205,22 +191,6 @@ class CupConfig:
                 "checkpoint_every_seconds must be positive or None, "
                 f"got {self.checkpoint_every_seconds}"
             )
-        if not self.reliable_transport:
-            # Constructing the config object validates the knobs early
-            # (RecoveryConfig re-validates at node construction).
-            self.resolved_recovery()
-
-    def resolved_recovery(self):
-        """The RecoveryConfig described by the recovery_* knobs."""
-        from repro.core.recovery import RecoveryConfig
-
-        return RecoveryConfig(
-            max_retries=self.recovery_max_retries,
-            base_timeout=self.recovery_base_timeout,
-            backoff=self.recovery_backoff,
-            max_timeout=self.recovery_max_timeout,
-            buffer_size=self.recovery_buffer,
-        )
 
     def variant(self, **overrides) -> "CupConfig":
         """A copy with fields replaced (workload seeds stay aligned)."""
@@ -240,12 +210,12 @@ def build_overlay(config: CupConfig) -> Overlay:
     if config.overlay_type == "can":
         n = config.num_nodes
         if n & (n - 1) == 0:
-            return CanOverlay.perfect_grid(n, dims=config.can_dims)
-        overlay = CanOverlay(dims=config.can_dims)
+            return CanOverlay.perfect_grid(n)
+        overlay = CanOverlay()
         rng = RandomStreams(config.seed).get("topology")
         for i in range(n):
             point = (
-                tuple(float(x) for x in rng.random(config.can_dims))
+                tuple(float(x) for x in rng.random(overlay.dims))
                 if i else None
             )
             overlay.join(i, point=point)
@@ -344,7 +314,6 @@ class CupNetwork:
             replicas_per_key=config.replicas_per_key,
             lifetime=config.entry_lifetime,
             rng=self.streams.get("replicas"),
-            stagger=config.stagger_replicas,
         )
         self.replicas.schedule_births(at=0.0)
 
@@ -380,16 +349,14 @@ class CupNetwork:
             ),
             rng=self._capacity_rng,
             pfu_timeout=config.pfu_timeout,
-            track_justification=config.track_justification,
             refresh_aggregation_window=config.refresh_aggregation_window,
             refresh_sample_fraction=config.refresh_sample_fraction,
             channel_priorities=PRIORITY_PROFILES[config.priority_profile],
-            batched_fanout=config.batched_fanout,
             # Standard caching routes responses over recorded query
             # paths (route is not None), which the sequence layer
             # exempts; only CUP-style propagation gets recovery state.
             recovery_config=(
-                config.resolved_recovery()
+                RecoveryConfig()
                 if not config.reliable_transport and config.mode != "standard"
                 else None
             ),
@@ -808,23 +775,19 @@ class CupNetwork:
         if node_id in self.nodes:
             raise ValueError(f"node {node_id!r} is already a member")
         self._require_private_topology("join_node")
-        if isinstance(self.overlay, CanOverlay):
-            self.overlay.join(node_id)
-        else:
-            self.overlay.join(node_id)
+        self.overlay.join(node_id)
         node = self._create_node(node_id)
         self._attach_monitor(node_id, node)
         self._member_list = list(self.nodes)
-        if self.config.handover_entries:
-            self._reassign_authority_entries()
+        self._reassign_authority_entries()
         if self.invariants is not None:
             self.invariants.on_membership_change("join", node_id)
         self.tracer.emit(self.sim.now, "churn", event="join", node=node_id)
         return node
 
     def leave_node(self, node_id: NodeId, graceful: bool = True) -> None:
-        """A node departs; neighbors take over its zone and (optionally)
-        its index entries (§2.9)."""
+        """A node departs; neighbors take over its zone and, on a graceful
+        departure, its index entries (§2.9)."""
         node = self.nodes.get(node_id)
         if node is None:
             raise ValueError(f"node {node_id!r} is not a member")
@@ -836,7 +799,7 @@ class CupNetwork:
         self.transport.unregister(node_id)
         self._member_list = list(self.nodes)
 
-        if graceful and self.config.handover_entries and self.nodes:
+        if graceful and self.nodes:
             # The departing node hands its directory to the new owners;
             # ungraceful departures lose it (entries at caches simply
             # expire and later queries restart propagation).

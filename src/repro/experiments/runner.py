@@ -11,6 +11,7 @@ is shared with the parallel executor.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Dict, Optional, Tuple
 
 from repro.core.policies import CutoffPolicy
@@ -19,23 +20,34 @@ from repro.metrics.collector import MetricsSummary
 
 _CACHE: Dict[tuple, MetricsSummary] = {}
 
+#: Config fields that do not affect a run's results: tracing and the
+#: durable-snapshot settings (a checkpointed run is byte-identical to a
+#: plain one).  Every other field is part of the run-cache key.
+_RESULT_NEUTRAL_FIELDS = frozenset({
+    "trace", "checkpoint_path", "checkpoint_every_events",
+    "checkpoint_every_seconds",
+})
+#: Fields keyed through a normalised value in :func:`_cache_key`.
+_NORMALISED_FIELDS = frozenset({"policy", "total_keys", "keys_per_node"})
+_PLAIN_KEY_FIELDS = tuple(
+    field.name for field in dataclasses.fields(CupConfig)
+    if field.name not in _RESULT_NEUTRAL_FIELDS | _NORMALISED_FIELDS
+)
+
 
 def _cache_key(config: CupConfig) -> tuple:
+    """The run-cache identity of ``config``: every result-bearing field.
+
+    A policy object keys by its name, and ``total_keys`` with the
+    ``keys_per_node`` it overrides fold into
+    :meth:`CupConfig.resolved_total_keys`.
+    """
     policy = config.policy
     policy_key = policy.name if isinstance(policy, CutoffPolicy) else policy
     return (
-        config.num_nodes, config.overlay_type, config.can_dims,
-        config.link_delay, config.link_delay_jitter,
-        config.mode, policy_key, config.replica_independent_cutoff,
-        config.track_justification,
-        config.capacity_fraction, config.capacity_rate, config.pfu_timeout,
-        config.refresh_aggregation_window, config.refresh_sample_fraction,
-        config.priority_profile,
-        config.resolved_total_keys(), config.replicas_per_key,
-        config.entry_lifetime, config.stagger_replicas,
-        config.query_rate, config.key_distribution, config.zipf_s,
-        config.query_start, config.query_duration, config.drain,
-        config.seed, config.gc_interval, config.failure_sweep_interval,
+        policy_key,
+        config.resolved_total_keys(),
+        *(getattr(config, name) for name in _PLAIN_KEY_FIELDS),
     )
 
 

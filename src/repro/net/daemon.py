@@ -27,8 +27,9 @@ Cluster mechanics
   departed node; CUP's PFU timeout and recovery NACKs take it from
   there).
 
-* **Leave / failure.**  Graceful shutdown broadcasts ``leaving``.
-  Silent death is caught by the same
+* **Leave / failure.**  Graceful shutdown broadcasts ``leaving``,
+  then cancels and awaits every task the node owns.  Silent death is
+  caught by the same
   :class:`~repro.core.keepalive.KeepAliveMonitor` the simulator uses:
   heartbeats ride the live transport and any received traffic proves
   life.  A first strike (keep-alive misses or consecutive dial
@@ -261,6 +262,9 @@ class LiveNode:
         self.members: Set[str] = set()
         self._conns: Dict[str, _PeerLink] = {}
         self._dialing: Dict[str, asyncio.Task] = {}
+        #: Every unfinished task this node started or serves a session
+        #: on; shutdown cancels and awaits them all.
+        self._tasks: Set[asyncio.Task] = set()
         self._health: Dict[str, _PeerHealth] = {}
         self._seeds: Set[str] = set()
         self._store: Optional[NodeStore] = None
@@ -494,7 +498,17 @@ class LiveNode:
         if self._stopping:
             return
         self._stopping = True
-        asyncio.ensure_future(self._shutdown())
+        self._own(self._shutdown())
+
+    def _own(self, awaitable) -> asyncio.Task:
+        """Run ``awaitable`` as a task this node owns until it finishes.
+
+        A coroutine is scheduled as a new task; a task is adopted.
+        """
+        task = asyncio.ensure_future(awaitable)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
 
     async def _shutdown(self) -> None:
         self._log("leaving the cluster")
@@ -512,19 +526,26 @@ class LiveNode:
                     waiter.set_result([])
         for health in self._health.values():
             health.cancel_timers()
+        if self._server is not None:
+            # No new sessions; accepts already under way start theirs
+            # during the breath below, so the sweep after it sees them.
+            self._server.close()
         for link in list(self._conns.values()):
             link.send_json({"t": "leaving", "id": self.node_id})
         # One breath for the leaving frames to flush through the queues.
         await asyncio.sleep(0.05)
-        for task in list(self._dialing.values()):
-            task.cancel()
         for link in list(self._conns.values()):
-            if link.reader_task is not None:
-                link.reader_task.cancel()
             link.close()
         self._conns.clear()
+        # Sessions, link readers and writers (replaced links included)
+        # and dials: none may outlive the stop.
+        tasks = self._tasks - {asyncio.current_task()}
+        for task in tasks:
+            task.cancel()
+        for result in await asyncio.gather(*tasks, return_exceptions=True):
+            if isinstance(result, Exception):
+                self._log(f"task failed during shutdown: {result!r}")
         if self._server is not None:
-            self._server.close()
             await self._server.wait_closed()
         self._stopped.set()
 
@@ -662,7 +683,7 @@ class LiveNode:
                 return _immediate(None)
             health.retry_handle.cancel()
             health.retry_handle = None
-        task = asyncio.ensure_future(self._dial(peer_id))
+        task = self._own(self._dial(peer_id))
         self._dialing[peer_id] = task
         task.add_done_callback(
             lambda _t: self._dialing.pop(peer_id, None)
@@ -697,9 +718,7 @@ class LiveNode:
         if self._rejoined:
             hello["rejoin"] = True
         link.send_json(hello)
-        link.reader_task = asyncio.ensure_future(
-            self._peer_read_loop(link, reader)
-        )
+        link.reader_task = self._own(self._peer_read_loop(link, reader))
         return link
 
     def _backoff_delay(self, failures: int) -> float:
@@ -764,7 +783,7 @@ class LiveNode:
         # connection, and the recovery layer absorbs cross-connection
         # reordering like any other transport anomaly).
         self._conns[link.peer_id] = link
-        link.writer_task = asyncio.ensure_future(link.drain_outbox())
+        link.writer_task = self._own(link.drain_outbox())
 
     def _link_closed(self, link: _PeerLink) -> None:
         link.close()
@@ -850,6 +869,7 @@ class LiveNode:
 
     async def _on_connection(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        self._own(asyncio.current_task())
         decoder = FrameDecoder()
         link: Optional[_PeerLink] = None
         stop_after = False

@@ -1,11 +1,13 @@
-"""Batched fan-out ≡ per-child reference path.
+"""Batched fan-out ≡ per-destination reference.
 
 The batched update fan-out (one shared payload + k envelopes through a
 single transport call, grouped same-delay delivery) must be *observably
-identical* to the retained per-child path (`batched_fanout=False`): same
-``MetricsSummary``, same invariant-checker verdicts, same per-node cache
-state, same transport totals, and the same ``events_processed`` (grouped
-deliveries count one processed event per delivered message by design).
+identical* to what ``Transport.send_fanout`` is defined to mean: one
+``send`` of a fresh fork per destination (the test-local reference
+patched in by :func:`fanout_path`).  Same ``MetricsSummary``,
+same invariant-checker verdicts, same per-node cache state, same
+transport totals, and the same ``events_processed`` (grouped deliveries
+count one processed event per delivered message by design).
 
 Covered deterministically for every built-in scenario — churn,
 partitions, flash crowds, capacity faults and the perfect storm all
@@ -13,6 +15,9 @@ composed in — and fuzzed by hypothesis over configs that exercise the
 rate pump and fractional capacity (where the per-child path is the only
 legal one) alongside full-capacity batching.
 """
+
+import contextlib
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +27,32 @@ from repro.core.protocol import CupConfig, CupNetwork
 from repro.scenarios import SCENARIOS
 from repro.scenarios.dsl import default_base_config
 from repro.scenarios.runner import run_scenario
+from repro.sim.network import Transport
+
+
+@contextlib.contextmanager
+def fanout_path(batched: bool):
+    """Run batched, or with the per-destination reference patched in.
+
+    The reference is ``Transport.send_fanout`` exactly as its docstring
+    defines it: one ``send`` of a fresh fork per destination.
+    """
+    if batched:
+        yield
+        return
+
+    def send_fanout(self, src, dsts, message):
+        for dst in dsts:
+            self.send(src, dst, message.fork())
+
+    with mock.patch.object(Transport, "send_fanout", send_fanout):
+        yield
+
+
+def _run(config: CupConfig, batched: bool):
+    with fanout_path(batched):
+        net = CupNetwork(config)
+        return net, net.run()
 
 
 def _node_cache_state(net: CupNetwork) -> dict:
@@ -53,12 +84,7 @@ def _transport_totals(net: CupNetwork) -> tuple:
 
 
 def _run_config_both_paths(config: CupConfig):
-    batched = CupNetwork(config.variant(batched_fanout=True))
-    reference = CupNetwork(config.variant(batched_fanout=False))
-    return (
-        (batched, batched.run()),
-        (reference, reference.run()),
-    )
+    return _run(config, batched=True), _run(config, batched=False)
 
 
 def _assert_equivalent(batched_pair, reference_pair):
@@ -128,15 +154,14 @@ class TestScenarioEquivalence:
         scenario = SCENARIOS[name]
         results = {}
         for batched in (True, False):
-            result = run_scenario(
-                scenario,
-                seed=42,
-                invariants=True,
-                raise_on_violation=False,
-                base_config=default_base_config().variant(
-                    batched_fanout=batched
-                ),
-            )
+            with fanout_path(batched):
+                result = run_scenario(
+                    scenario,
+                    seed=42,
+                    invariants=True,
+                    raise_on_violation=False,
+                    base_config=default_base_config(),
+                )
             assert result.ok, (name, batched, result.violations)
             results[batched] = result
         assert results[True].summary == results[False].summary
@@ -180,7 +205,7 @@ def test_batched_equals_reference_fuzz(
 
 
 class TestFaultedFanoutEquivalence:
-    """Per-recipient fault evaluation is identical in both fan-out modes.
+    """Per-recipient fault evaluation is identical on both fan-out paths.
 
     With a ``LinkFaults`` rule installed the batched path must abandon
     grouped delivery and make one independent loss/duplicate/jitter draw
@@ -193,8 +218,7 @@ class TestFaultedFanoutEquivalence:
     def _faulted_run(self, batched: bool):
         from repro.sim.network import LinkFaults
 
-        config = BASE.variant(batched_fanout=batched, seed=23)
-        net = CupNetwork(config)
+        config = BASE.variant(seed=23)
         handle = {}
 
         def install():
@@ -204,13 +228,14 @@ class TestFaultedFanoutEquivalence:
             )
             handle["id"] = net.transport.add_link_faults(spec)
 
-        net.sim.schedule_at(config.query_start, install)
-        net.sim.schedule_at(
-            config.query_start + 120.0,
-            lambda: net.transport.remove_link_faults(handle["id"]),
-        )
-        summary = net.run()
-        return net, summary
+        with fanout_path(batched):
+            net = CupNetwork(config)
+            net.sim.schedule_at(config.query_start, install)
+            net.sim.schedule_at(
+                config.query_start + 120.0,
+                lambda: net.transport.remove_link_faults(handle["id"]),
+            )
+            return net, net.run()
 
     def test_link_faults_evaluated_per_recipient_in_both_modes(self):
         batched_net, batched_summary = self._faulted_run(batched=True)

@@ -129,6 +129,78 @@ class TestRunCache:
         assert len(runcache.code_fingerprint()) == 16
 
 
+class TestCacheKey:
+    """Every config field that can change a result is in the run key."""
+
+    #: Fields that do not affect results, so they stay out of the key.
+    NEUTRAL = {
+        "trace": True,
+        "checkpoint_path": "run.ckpt",
+        "checkpoint_every_events": 1000,
+        "checkpoint_every_seconds": 60.0,
+    }
+    #: A non-default value for every other field.  A new CupConfig field
+    #: fails test_every_field_is_classified until it is listed here or
+    #: in NEUTRAL.
+    CHANGED = {
+        "num_nodes": 32,
+        "overlay_type": "chord",
+        "link_delay": 0.02,
+        "link_delay_jitter": 0.005,
+        "mode": "standard",
+        "policy": "linear:0.5",
+        "replica_independent_cutoff": False,
+        "capacity_fraction": 0.5,
+        "capacity_rate": 10.0,
+        "pfu_timeout": 10.0,
+        "refresh_aggregation_window": 5.0,
+        "refresh_sample_fraction": 0.5,
+        "priority_profile": "flash-crowd",
+        "reliable_transport": False,
+        "keys_per_node": 2.0,
+        "total_keys": 3,
+        "replicas_per_key": 2,
+        "entry_lifetime": 60.0,
+        "query_rate": 2.0,
+        "key_distribution": "zipf",
+        "zipf_s": 1.2,
+        "query_start": 50.0,
+        "query_duration": 200.0,
+        "drain": 50.0,
+        "seed": 6,
+        "gc_interval": None,
+        "failure_sweep_interval": 30.0,
+    }
+
+    def base(self) -> CupConfig:
+        # keys_per_node only counts while total_keys is unset.
+        return tiny_config(total_keys=None)
+
+    def test_every_field_is_classified(self):
+        names = {field.name for field in dataclasses.fields(CupConfig)}
+        assert names == set(self.NEUTRAL) | set(self.CHANGED)
+
+    @pytest.mark.parametrize("name", sorted(CHANGED))
+    def test_changing_a_key_field_changes_the_key(self, name):
+        base = self.base()
+        changed = base.variant(**{name: self.CHANGED[name]})
+        assert getattr(changed, name) != getattr(base, name)
+        assert cell_key(Cell("x", changed)) != cell_key(Cell("x", base))
+
+    def test_neutral_fields_and_normalised_values_share_a_key(self):
+        from repro.core.policies import make_policy
+
+        base = self.base()
+        key = cell_key(Cell("x", base))
+        same = [
+            base.variant(**self.NEUTRAL),
+            base.variant(policy=make_policy(base.policy)),
+            base.variant(total_keys=base.resolved_total_keys()),
+        ]
+        for config in same:
+            assert cell_key(Cell("x", config)) == key
+
+
 class TestExecute:
     def cells(self):
         return [

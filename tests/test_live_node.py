@@ -12,7 +12,7 @@ import time
 import pytest
 
 from repro.net.clock import LiveClock
-from repro.net.daemon import LiveNode, LiveNodeConfig
+from repro.net.daemon import LiveNode, LiveNodeConfig, _PeerLink
 from repro.net.seam import (
     conforming,
     missing_clock_api,
@@ -392,6 +392,36 @@ def test_stop_answers_gets_still_in_flight():
         assert reply["error"] == "node is stopping"
 
     asyncio.run(main())
+
+
+def _pending_tasks_of(node):
+    """Unfinished tasks running a coroutine of ``node`` or of its links."""
+    owned = []
+    for task in asyncio.all_tasks():
+        frame = task.get_coro().cr_frame
+        owner = None if frame is None else frame.f_locals.get("self")
+        if isinstance(owner, _PeerLink):
+            # A link reaches its node through its overflow callback.
+            owner = owner.on_overflow.__self__
+        if owner is node:
+            owned.append(task)
+    return owned
+
+
+def test_stop_leaves_no_task_of_the_stopped_node_in_a_cluster():
+    async def scenario(nodes):
+        first, middle = nodes[0], nodes[1]
+        # A second connection from a peer (the simultaneous-dial race)
+        # replaces the middle node's link to it; the replaced link's
+        # tasks belong to the middle node all the same.
+        replaced = middle._conns[first.node_id]
+        await first._dial(middle.node_id)
+        await _poll(lambda: middle._conns[first.node_id] is not replaced)
+        middle.request_stop()
+        await asyncio.wait_for(middle.serve_forever(), timeout=5.0)
+        assert _pending_tasks_of(middle) == []
+
+    _run_cluster(3, scenario)
 
 
 def test_config_rejects_unknown_mode_and_codec():

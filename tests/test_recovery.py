@@ -89,22 +89,6 @@ class TestRecoveryConfig:
         with pytest.raises(ValueError):
             RecoveryConfig(**bad)
 
-    def test_cup_config_resolves_recovery_knobs(self):
-        config = CupConfig(
-            num_nodes=8, reliable_transport=False,
-            recovery_max_retries=2, recovery_base_timeout=0.25,
-        )
-        resolved = config.resolved_recovery()
-        assert resolved.max_retries == 2
-        assert resolved.base_timeout == 0.25
-
-    def test_invalid_recovery_knobs_rejected_at_validate(self):
-        config = CupConfig(
-            num_nodes=8, reliable_transport=False, recovery_backoff=0.0
-        )
-        with pytest.raises(ValueError):
-            config.validate()
-
 
 class TestStamping:
     def test_sequences_monotonic_per_link(self):
@@ -370,8 +354,18 @@ class TestNodeWiring:
         assert all(
             node.recovery is not None for node in net.nodes.values()
         )
-        # Stamping happens on the per-child path only; batching is off.
-        assert all(not node.batched_fanout for node in net.nodes.values())
+        # Every update a recovery-equipped node puts on the wire is
+        # stamped: none of them takes the unstamped batched fan-out.
+        updates = []
+
+        def on_send(src, dst, message):
+            if message.kind == "update":
+                updates.append(message)
+
+        net.transport.add_send_observer(on_send)
+        net.run()
+        assert updates
+        assert all(update.hop_seq is not None for update in updates)
 
     def test_standard_mode_never_gets_recovery(self):
         net = CupNetwork(
